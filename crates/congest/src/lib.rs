@@ -68,6 +68,7 @@
 #![warn(missing_docs)]
 
 pub mod asynchronous;
+mod calendar;
 pub mod faults;
 mod message;
 mod metrics;
@@ -412,21 +413,21 @@ mod tests {
 
     #[test]
     fn idle_skipping_is_observationally_free() {
-        // Flood keeps the default `idle_at` (never skipped); wrap it in a
-        // protocol that *does* declare idleness and check that skipping on
-        // vs off changes nothing (results, metrics, rounds).
+        // Flood keeps the default `next_wake` (stepped every round); wrap
+        // it in a protocol that *does* declare idleness and check that
+        // skipping on vs off changes nothing (results, metrics, rounds).
         struct IdleAware(Flood);
         impl Protocol for IdleAware {
             fn round(&mut self, ctx: &mut RoundCtx<'_>, inbox: &[(usize, Message)]) {
                 // Flood only acts on round 0 (the source announce) or on
-                // arriving messages, so idle_at below is honest.
+                // arriving messages, so next_wake below is honest.
                 self.0.round(ctx, inbox);
             }
             fn is_halted(&self) -> bool {
                 self.0.is_halted()
             }
-            fn idle_at(&self, round: u64) -> bool {
-                round > 0
+            fn next_wake(&self, from: u64) -> Option<u64> {
+                (from == 0).then_some(0)
             }
         }
         let g = generators::erdos_renyi_connected(24, 0.15, 11);

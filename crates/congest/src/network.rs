@@ -18,10 +18,13 @@
 //!
 //! - **double-buffered inboxes** — current and next-round inboxes swap each
 //!   round, so per-node `Vec` allocations are reused instead of reallocated;
-//! - **idle-node skipping** — a node whose inbox is empty and whose
-//!   [`Protocol::idle_at`] returns `true` is not stepped at all (sound
-//!   because `idle_at` promises the step would be a no-op); disable via
-//!   [`Config::skip_idle`] as a correctness escape hatch;
+//! - **a wake calendar** — a round steps only the nodes with a non-empty
+//!   inbox or a self-timed wake due ([`Protocol::next_wake`]), taken from
+//!   a per-node wake queue, and tracks halted nodes with a running count,
+//!   so no round calls into every node. Sound because `next_wake`
+//!   promises every round it skips would be a no-op;
+//!   [`Config::skip_idle`] `= false` steps every node every round
+//!   instead, the reference the calendar must match;
 //! - **a sharded data plane** — [`Network::run_parallel`] spawns a
 //!   persistent pool of workers, each *owning* one shard of node states and
 //!   inboxes for the whole run (assignment chosen by
@@ -34,6 +37,7 @@
 //!   parallel traces and metrics byte-identical to serial for every worker
 //!   count and every partition strategy.
 
+use crate::calendar::WakeCalendar;
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
 use crate::metrics::{EdgeCut, NetMetrics};
@@ -92,10 +96,10 @@ pub struct Config {
     pub enforcement: Enforcement,
     /// Optional edge cut across which bit flow is measured.
     pub cut: Option<EdgeCut>,
-    /// Skip stepping nodes whose inbox is empty and whose
-    /// [`Protocol::idle_at`] returns `true`. On by default; turn off to
-    /// force every node to step every round (correctness escape hatch —
-    /// output must not change either way).
+    /// Step only the nodes with a non-empty inbox or a due
+    /// [`Protocol::next_wake`] round. On by default; turn off to step
+    /// every node every round (the reference path — output, metrics and
+    /// traces must not change either way).
     pub skip_idle: bool,
     /// Optional fault-injection plan applied between outboxes and
     /// inboxes: per-edge/per-round drop, duplication, corruption, and
@@ -210,15 +214,15 @@ pub trait Protocol {
     /// no messages are in flight.
     fn is_halted(&self) -> bool;
 
-    /// Returns `true` if calling [`Protocol::round`] for `round` with an
-    /// *empty* inbox would be a no-op: no sends, no trace events, and no
-    /// observable state change. The engine then skips the call entirely
-    /// (unless [`Config::skip_idle`] is off). The default is `false` —
-    /// protocols that act on a schedule rather than on messages must keep
-    /// it that way for the rounds they act in.
-    fn idle_at(&self, round: u64) -> bool {
-        let _ = round;
-        false
+    /// The earliest round `≥ from` in which calling [`Protocol::round`]
+    /// with an *empty* inbox could do anything (send, trace, or change
+    /// observable state); `None` if no such round comes before a message
+    /// arrives. A node with an empty inbox is stepped only in that round
+    /// (unless [`Config::skip_idle`] is off), and the engine asks again
+    /// after every step, so the answer may rely on the state staying put
+    /// until then. The default, `Some(from)`, steps the node every round.
+    fn next_wake(&self, from: u64) -> Option<u64> {
+        Some(from)
     }
 }
 
@@ -393,9 +397,14 @@ pub struct Network<P> {
     stage_events: Vec<ProtocolDetail>,
     /// Recycled per-port collision counters for `account_sends`.
     port_scratch: Vec<u8>,
-    /// Recycled list of next-inbox indices touched in the current round
-    /// (only those get sorted).
+    /// Nodes whose current inbox is non-empty. Between rounds these are
+    /// the only non-empty inboxes; during a round the list collects the
+    /// next round's (only those get sorted).
     touched: Vec<NodeId>,
+    /// Self-timed wakes and halted count; rebuilt by every `run*` call.
+    calendar: WakeCalendar,
+    /// Recycled list of the nodes stepped this round.
+    active: Vec<NodeId>,
     /// Fault-delayed messages still in flight:
     /// `(delivery round, target, port, message)` in injection order.
     delayed: Vec<(u64, NodeId, usize, Message)>,
@@ -438,6 +447,8 @@ impl<P: Protocol> Network<P> {
             stage_events: Vec::new(),
             port_scratch: Vec::new(),
             touched: Vec::new(),
+            calendar: WakeCalendar::default(),
+            active: Vec::new(),
             delayed: Vec::new(),
             metrics: NetMetrics::default(),
             round: 0,
@@ -527,6 +538,7 @@ impl<P: Protocol> Network<P> {
     /// [`Enforcement::Strict`], or [`CongestError::NodePanic`] if a node's
     /// step panicked.
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, CongestError> {
+        self.arm();
         while !self.quiescent() {
             if self.round >= max_rounds {
                 return Err(CongestError::RoundLimit { max_rounds });
@@ -543,27 +555,40 @@ impl<P: Protocol> Network<P> {
     ///
     /// Returns a constraint violation under [`Enforcement::Strict`].
     pub fn run_rounds(&mut self, rounds: u64) -> Result<RunReport, CongestError> {
+        self.arm();
         for _ in 0..rounds {
             self.step()?;
         }
         Ok(RunReport { rounds: self.round })
     }
 
+    /// Rebuilds the calendar and the non-empty-inbox list from the node
+    /// states and inboxes as they stand (a previous run may have ended
+    /// mid-round, or handed them back from the pool).
+    fn arm(&mut self) {
+        self.calendar = WakeCalendar::new(&self.nodes, self.round, self.config.skip_idle);
+        self.touched.clear();
+        self.touched.extend(
+            (0..self.graph.n() as NodeId).filter(|&v| !self.inboxes[v as usize].is_empty()),
+        );
+    }
+
+    /// No message in flight and every node halted. Valid once armed.
     fn quiescent(&self) -> bool {
-        self.inboxes.iter().all(|i| i.is_empty())
-            && self.delayed.is_empty()
-            && self.nodes.iter().all(|p| p.is_halted())
+        self.touched.is_empty() && self.delayed.is_empty() && self.calendar.all_halted()
     }
 
     /// Executes a single round serially.
     fn step(&mut self) -> Result<(), CongestError> {
-        let n = self.graph.n();
         let round = self.round;
-        let skip_idle = self.config.skip_idle;
         let mut first_error: Option<CongestError> = None;
+        let mut touched = std::mem::take(&mut self.touched);
         if !self.delayed.is_empty() {
             for (target, port, msg) in take_due(&mut self.delayed, round) {
                 let inbox = &mut self.inboxes[target as usize];
+                if inbox.is_empty() {
+                    touched.push(target);
+                }
                 inbox.push((port, msg));
                 // Stable: equal-port entries (Record-mode collisions, fault
                 // duplicates) keep arrival order — normal before delayed —
@@ -586,22 +611,24 @@ impl<P: Protocol> Network<P> {
         let mut compute_ns = 0u64;
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
-        let mut touched = std::mem::take(&mut self.touched);
+        let mut active = std::mem::take(&mut self.active);
+        self.calendar.due(round, &touched, &mut active);
+        // From here on `touched` collects the next round's inboxes.
+        touched.clear();
         let spare = &mut self.spare;
         let faults = self.config.faults.as_ref();
         debug_assert!(spare.iter().all(|i| i.is_empty()));
-        for v in 0..n {
+        for &v in &active {
+            let v = v as usize;
             // A crashed node is down for the whole round: it neither steps
             // nor keeps the messages that arrived while it was down.
             if faults.is_some_and(|p| p.crashed(v as NodeId, round)) {
                 self.inboxes[v].clear();
+                self.calendar.settle(v, &self.nodes[v], round + 1);
                 continue;
             }
             let node = &mut self.nodes[v];
             let inbox = &self.inboxes[v];
-            if inbox.is_empty() && skip_idle && node.idle_at(round) {
-                continue;
-            }
             nodes_stepped += 1;
             let mut ctx = RoundCtx::with_buffers(
                 v as NodeId,
@@ -629,6 +656,7 @@ impl<P: Protocol> Network<P> {
                 }
                 touched.clear();
                 self.touched = touched;
+                self.active = active;
                 self.sink = sink;
                 return Err(CongestError::NodePanic {
                     node: v as NodeId,
@@ -670,7 +698,9 @@ impl<P: Protocol> Network<P> {
             self.stage_sends = sends;
             self.stage_events = events;
             self.inboxes[v].clear();
+            self.calendar.settle(v, &self.nodes[v], round + 1);
         }
+        self.active = active;
         self.sink = sink;
         if let (Some(err), Enforcement::Strict) = (&first_error, self.config.enforcement) {
             for &t in &touched {
@@ -685,7 +715,6 @@ impl<P: Protocol> Network<P> {
             // above: staging order breaks equal-port ties canonically.
             spare[t as usize].sort_by_key(|&(port, _)| port);
         }
-        touched.clear();
         self.touched = touched;
         std::mem::swap(&mut self.inboxes, &mut self.spare);
         self.round += 1;
@@ -940,9 +969,12 @@ struct ShardWorker<'a, P> {
     budget_bits: Option<usize>,
     cut: Option<&'a EdgeCut>,
     faults: Option<&'a FaultPlan>,
-    skip_idle: bool,
     /// Node states of this shard, ascending by node id.
     nodes: Vec<P>,
+    /// Wakes and halted count over the shard's local indices.
+    calendar: WakeCalendar,
+    /// Recycled list of the local indices stepped this round.
+    active: Vec<u32>,
     /// Current-round inboxes, parallel to `nodes`.
     inboxes: Vec<Vec<(usize, Message)>>,
     /// This worker's metric partial; merged into the run metrics once at
@@ -961,7 +993,7 @@ struct ShardWorker<'a, P> {
     /// Per-destination outboxes for the current round (`out[me]` unused).
     out: Vec<LaneBatch>,
     /// Local indices whose inbox went non-empty this round (sorted once
-    /// after all deliveries).
+    /// after all deliveries; seeded with inboxes handed over non-empty).
     touched: Vec<u32>,
     /// False until the first `Step`: the initial inboxes arrive pre-filled
     /// and pre-sorted with the shard, not over the lanes.
@@ -1191,10 +1223,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
         }
         for (local, port, msg) in inject.drain(..) {
             let inbox = &mut self.inboxes[local as usize];
-            // `touched` tracks empty→non-empty transitions; an inbox that
-            // was pre-filled when the run started (re-entry mid-flight)
-            // must be marked explicitly so it still gets sorted.
-            if inbox.is_empty() || !self.touched.contains(&local) {
+            if inbox.is_empty() {
                 self.touched.push(local);
             }
             inbox.push((port, msg));
@@ -1202,6 +1231,8 @@ impl<P: Protocol> ShardWorker<'_, P> {
         for &local in &self.touched {
             self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
         }
+        let mut active = std::mem::take(&mut self.active);
+        self.calendar.due(round, &self.touched, &mut active);
         self.touched.clear();
         // Restock outboxes from buffers peers have returned.
         for d in 0..self.out.len() {
@@ -1245,18 +1276,18 @@ impl<P: Protocol> ShardWorker<'_, P> {
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
         let (mut routed, mut intra, mut cross) = (0u64, 0u64, 0u64);
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        for &i in &active {
+            let i = i as usize;
             let v = shard[i];
             // Crash handling mirrors the serial engine: a down node is not
             // stepped and loses its inbox for the round.
             if self.faults.is_some_and(|p| p.crashed(v, round)) {
                 self.inboxes[i].clear();
+                self.calendar.settle(i, &self.nodes[i], round + 1);
                 continue;
             }
+            let node = &mut self.nodes[i];
             let inbox = &self.inboxes[i];
-            if inbox.is_empty() && self.skip_idle && node.idle_at(round) {
-                continue;
-            }
             nodes_stepped += 1;
             if counting_inboxes {
                 inbox_messages += inbox.len() as u64;
@@ -1337,8 +1368,10 @@ impl<P: Protocol> ShardWorker<'_, P> {
             if panic.is_some() {
                 break;
             }
+            self.calendar.settle(i, &self.nodes[i], round + 1);
         }
-        let all_halted = self.nodes.iter().all(|p| p.is_halted());
+        self.active = active;
+        let all_halted = self.calendar.all_halted();
 
         // Publish this round's batches — exactly one per peer, empty or
         // not, which is what gives the next round's drain its barrier.
@@ -1409,6 +1442,7 @@ impl<P: Protocol + Send> Network<P> {
         threads: usize,
     ) -> Result<RunReport, CongestError> {
         assert!(threads > 0, "need at least one worker thread");
+        self.arm();
         if self.quiescent() {
             return Ok(RunReport { rounds: self.round });
         }
@@ -1446,6 +1480,7 @@ impl<P: Protocol + Send> Network<P> {
         let graph = &self.graph;
         let metrics = &mut self.metrics;
         let profiler = &mut self.profiler;
+        let start_round = self.round;
         let round_ref = &mut self.round;
         let budget_bits = self.budget_bits;
         let enforcement = self.config.enforcement;
@@ -1501,6 +1536,8 @@ impl<P: Protocol + Send> Network<P> {
 
             let mut pool = Vec::with_capacity(workers);
             for w in 0..workers {
+                let nodes = std::mem::take(&mut shard_nodes[w]);
+                let inboxes = std::mem::take(&mut shard_inboxes[w]);
                 pool.push(ShardWorker {
                     me: w,
                     map: map_ref,
@@ -1508,9 +1545,13 @@ impl<P: Protocol + Send> Network<P> {
                     budget_bits,
                     cut,
                     faults,
-                    skip_idle,
-                    nodes: std::mem::take(&mut shard_nodes[w]),
-                    inboxes: std::mem::take(&mut shard_inboxes[w]),
+                    calendar: WakeCalendar::new(&nodes, start_round, skip_idle),
+                    active: Vec::new(),
+                    touched: (0..inboxes.len() as u32)
+                        .filter(|&i| !inboxes[i as usize].is_empty())
+                        .collect(),
+                    nodes,
+                    inboxes,
                     metrics: NetMetrics::default(),
                     stage_sends: Vec::new(),
                     stage_events: Vec::new(),
@@ -1518,7 +1559,6 @@ impl<P: Protocol + Send> Network<P> {
                     delayed_scratch: Vec::new(),
                     pending_intra: Vec::new(),
                     out: (0..workers).map(|_| Vec::new()).collect(),
-                    touched: Vec::new(),
                     lanes_live: false,
                     lane_tx: std::mem::take(&mut lane_tx[w]),
                     lane_rx: std::mem::take(&mut lane_rx[w]),
@@ -1533,7 +1573,6 @@ impl<P: Protocol + Send> Network<P> {
             if free_running {
                 let profiling = profiler.is_some();
                 let strict = matches!(enforcement, Enforcement::Strict);
-                let start_round = *round_ref;
                 let handles: Vec<_> = pool
                     .into_iter()
                     .map(|worker| {

@@ -48,6 +48,7 @@
 //! result; the leader turns that into a run error (and a postmortem)
 //! rather than a hang.
 
+use crate::calendar::WakeCalendar;
 use crate::faults::{corrupt_message, FaultPlan};
 use crate::message::Message;
 use crate::metrics::NetMetrics;
@@ -655,7 +656,8 @@ pub struct ShardEngineConfig {
     pub budget_bits: Option<usize>,
     /// Strict CONGEST enforcement: a collision/oversize aborts the run.
     pub strict: bool,
-    /// Skip idle nodes with empty inboxes (observationally free).
+    /// Step only nodes with a message or a due wake (observationally
+    /// free; `false` steps every node every round).
     pub skip_idle: bool,
     /// Round limit guarding non-termination.
     pub max_rounds: u64,
@@ -719,7 +721,7 @@ pub struct ShardRunOutcome<P> {
 /// lanes, mirroring the in-process free-running `ShardWorker` exactly:
 /// same delivery order (peer batches in ascending shard order, own
 /// intra-shard staging in its slot, stable per-port inbox sort), same
-/// ascending-id stepping with idle skipping and panic capture, same
+/// wake calendar and ascending-id stepping with panic capture, same
 /// `account_sends` validation and routing, and the same verdict rule —
 /// which every shard computes locally from the identical
 /// `(routed, all_halted, fatal)` sums carried on the batches.
@@ -764,6 +766,8 @@ pub fn run_shard_engine<P: Protocol>(
     let mut pending_intra: Vec<(u32, u32, Message)> = Vec::new();
     let mut out: Vec<Vec<(u32, u32, Message)>> = (0..k).map(|_| Vec::new()).collect();
     let mut touched: Vec<u32> = Vec::new();
+    let mut calendar = WakeCalendar::new(&nodes, 0, cfg.skip_idle);
+    let mut active: Vec<u32> = Vec::new();
     let mut stage_sends: Vec<(usize, Message)> = Vec::new();
     let mut stage_events = Vec::new();
     let mut port_scratch: Vec<u8> = Vec::new();
@@ -801,6 +805,7 @@ pub fn run_shard_engine<P: Protocol>(
         for &local in &touched {
             inboxes[local as usize].sort_by_key(|&(port, _)| port);
         }
+        calendar.due(round, &touched, &mut active);
         touched.clear();
         if let Some(t) = t {
             route_ns += t.elapsed().as_nanos() as u64;
@@ -813,12 +818,11 @@ pub fn run_shard_engine<P: Protocol>(
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
         let (mut routed, mut intra, mut cross) = (0u64, 0u64, 0u64);
-        for (i, node) in nodes.iter_mut().enumerate() {
+        for &i in &active {
+            let i = i as usize;
             let v = shard[i];
+            let node = &mut nodes[i];
             let inbox = &inboxes[i];
-            if inbox.is_empty() && cfg.skip_idle && node.idle_at(round) {
-                continue;
-            }
             nodes_stepped += 1;
             inbox_messages += inbox.len() as u64;
             let mut ctx = RoundCtx::with_buffers(
@@ -881,8 +885,9 @@ pub fn run_shard_engine<P: Protocol>(
             if panic.is_some() {
                 break;
             }
+            calendar.settle(i, &nodes[i], round + 1);
         }
-        let all_halted = nodes.iter().all(|p| p.is_halted());
+        let all_halted = calendar.all_halted();
         let fatal_local = panic.is_some() || (cfg.strict && first_error.is_some());
 
         // Publish: exactly one batch per peer, empty or not — the frame

@@ -120,7 +120,7 @@ impl AlgoOptions {
 #[derive(Debug)]
 pub struct DistBcNode {
     /// This node's id (also available as `ctx.id()`; stored so
-    /// [`Protocol::idle_at`] can answer without a context).
+    /// [`Protocol::next_wake`] can answer without a context).
     me: u32,
     /// Network size `N` (per-source arrays below are `O(|S|)`, not `O(N)`).
     n: usize,
@@ -462,12 +462,17 @@ impl DistBcNode {
             self.send_pm(ctx, p, &msg);
         } else {
             // Root: phase A is globally complete; start counting now. The
-            // token departs riding the root's own wave.
+            // token departs riding the root's own wave, if it has one.
             self.tree_depth = Some(self.subtree_max_depth);
             self.visited = true;
             ctx.trace(ProtocolDetail::PhaseEnter { phase: 'B' });
-            self.wave_round = Some(r + 1);
-            self.token_forward_round = Some(r + 1);
+            if self.is_source_self {
+                self.wave_round = Some(r + 1);
+                self.token_forward_round = Some(r + 1);
+            } else {
+                // Sampled out: relay the token at once.
+                self.forward_token(r);
+            }
         }
     }
 
@@ -985,80 +990,67 @@ impl Protocol for DistBcNode {
         self.done
     }
 
-    /// True when `round(r)` with an empty inbox is provably a no-op, so the
-    /// engine may skip stepping this node. Each clause below mirrors one
-    /// self-timed trigger in [`DistBcNode::round`] — anything message-driven
-    /// is covered by the engine's own non-empty-inbox check.
-    fn idle_at(&self, r: u64) -> bool {
-        // Phase A: the root kicks off the tree at round 0; adaptive nodes
-        // report SubtreeDone two rounds after their own announce.
-        if r == 0 && self.me == 0 {
-            return false;
-        }
-        if self.opts.scheduling == Scheduling::Adaptive
-            && !self.subtree_done_sent
-            && self.announce_round.is_some_and(|a| r >= a + 2)
-            && self.children_done >= self.children_ports.len()
-        {
-            return false;
-        }
-        // Phase B: self-timed wave starts and token forwards.
-        match self.opts.scheduling {
-            Scheduling::DfsPipelined => {
-                if self.me == 0 && !self.visited && r == self.sched.counting_start {
-                    return false;
-                }
-            }
-            Scheduling::Sequential => {
-                if r >= self.sched.counting_start
-                    && self.wave_round.is_none()
-                    && self.is_source_self
+    /// The earliest round `≥ from` in which `round` with an empty inbox
+    /// can act. Each entry below mirrors one self-timed trigger in
+    /// [`DistBcNode::round`] — anything message-driven is covered by the
+    /// engine stepping every node whose inbox is non-empty.
+    fn next_wake(&self, from: u64) -> Option<u64> {
+        // A trigger that fires in exactly round `r`, and one that holds
+        // from round `r` on.
+        let at = |r: u64| (r >= from).then_some(r);
+        let since = |r: u64| Some(r.max(from));
+        let root = self.me == 0;
+        let adaptive = self.opts.scheduling == Scheduling::Adaptive;
+        let wakes = [
+            // Phase A: the root kicks off the tree at round 0; adaptive
+            // nodes report SubtreeDone two rounds after their own announce,
+            // once every child has.
+            if root { at(0) } else { None },
+            match self.announce_round {
+                Some(a)
+                    if adaptive
+                        && !self.subtree_done_sent
+                        && self.children_done >= self.children_ports.len() =>
                 {
-                    return false;
+                    since(a + 2)
                 }
-            }
-            Scheduling::Adaptive => {}
-        }
-        if self.wave_round == Some(r) || self.token_forward_round == Some(r) {
-            return false;
-        }
-        // Phase C: reduce arming and the root's broadcast trigger.
-        match self.opts.scheduling {
-            Scheduling::Adaptive => {
-                if self.start_reduce_round == Some(r) {
-                    return false;
+                _ => None,
+            },
+            // Phase B: the provisioned root's virtual token arrival, the
+            // sequential wave slot, staged wave starts and token forwards.
+            match self.opts.scheduling {
+                Scheduling::DfsPipelined if root && !self.visited => at(self.sched.counting_start),
+                Scheduling::Sequential if self.wave_round.is_none() && self.is_source_self => {
+                    since(self.sched.counting_start)
                 }
-                if self.me == 0 && self.agg_info.is_some() && !self.agg_announced {
-                    return false;
-                }
-            }
-            _ => {
-                if r == self.sched.reduce_start {
-                    return false;
-                }
-                if self.me == 0 && r == self.sched.broadcast_start {
-                    return false;
-                }
-            }
-        }
-        if self.agg_info.is_none()
-            && self.reduce_armed
-            && !self.reduce_sent
-            && self.reduce_received >= self.children_ports.len()
-        {
-            return false;
-        }
-        // Phase D: scheduled aggregation slots and the halting round.
-        if self
-            .agg_schedule
-            .get(self.agg_cursor)
-            .is_some_and(|&(round, _)| round == r)
-        {
-            return false;
-        }
-        if !self.done && self.agg_info.is_some_and(|info| r >= info.end_round()) {
-            return false;
-        }
-        true
+                _ => None,
+            },
+            self.wave_round.and_then(at),
+            self.token_forward_round.and_then(at),
+            // Phase C: reduce arming and the root's broadcast trigger.
+            if adaptive {
+                self.start_reduce_round.and_then(at)
+            } else {
+                at(self.sched.reduce_start)
+            },
+            match (adaptive, root) {
+                (true, true) => (self.agg_info.is_some() && !self.agg_announced).then_some(from),
+                (false, true) => at(self.sched.broadcast_start),
+                (_, false) => None,
+            },
+            (self.agg_info.is_none()
+                && self.reduce_armed
+                && !self.reduce_sent
+                && self.reduce_received >= self.children_ports.len())
+            .then_some(from),
+            // Phase D: the next aggregation slot and the halting round.
+            self.agg_schedule
+                .get(self.agg_cursor)
+                .and_then(|&(round, _)| at(round)),
+            self.agg_info
+                .filter(|_| !self.done)
+                .and_then(|info| since(info.end_round())),
+        ];
+        wakes.into_iter().flatten().min()
     }
 }

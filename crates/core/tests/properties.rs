@@ -174,17 +174,19 @@ proptest! {
         g in arb_connected_graph(26),
         k in 1usize..8,
         seed in any::<u64>(),
+        adaptive in any::<bool>(),
     ) {
         // The distributed sampled estimate is the Brandes–Pich fold over
         // the drawn set: (n/|S|) · Σ_{s ∈ S} δ_s·(v) / 2, up to the
-        // CeilFloat rounding of the wire arithmetic.
+        // CeilFloat rounding of the wire arithmetic — under either
+        // counting schedule, serial or pooled.
         let sources = SourceSelection::Sample { k, seed };
         let mask = source_mask(&sources, g.n());
-        let out = run_distributed_bc(
-            &g,
-            DistBcConfig { sources, ..DistBcConfig::default() },
-        )
-        .expect("runs");
+        let scheduling = if adaptive { Scheduling::Adaptive } else { Scheduling::DfsPipelined };
+        let config = DistBcConfig { sources, scheduling, ..DistBcConfig::default() };
+        let out = run_distributed_bc(&g, config.clone()).expect("runs");
+        let pooled = run_distributed_bc(&g, DistBcConfig { threads: 2, ..config }).expect("runs");
+        prop_assert_eq!(&pooled.betweenness, &out.betweenness);
         let drawn: Vec<usize> = mask.iter().enumerate().filter(|(_, &b)| b).map(|(v, _)| v).collect();
         prop_assert_eq!(drawn.len(), out.sample_size);
         let scale = g.n() as f64 / drawn.len() as f64;

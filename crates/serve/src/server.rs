@@ -580,6 +580,7 @@ mod tests {
     use bc_brandes::betweenness_f64;
     use bc_graph::generators;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     fn test_addr() -> String {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -805,10 +806,15 @@ mod tests {
         let srv = start(g);
         let addr = srv.addr.clone();
         let stop = Arc::new(AtomicBool::new(false));
+        // Each reader reports once it has answered its first batch, then
+        // drops its sender; a reader that dies first drops it unsent, so
+        // the writer's wait below fails instead of hanging.
+        let (ready_tx, ready_rx) = mpsc::channel::<()>();
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let addr = addr.clone();
                 let stop = Arc::clone(&stop);
+                let mut ready = Some(ready_tx.clone());
                 thread::spawn(move || {
                     let mut client = QueryClient::connect(&addr).unwrap();
                     let mut last_version = 0u64;
@@ -847,13 +853,20 @@ mod tests {
                         assert_ne!(gh, 0);
                         last_version = mv;
                         served += 3;
+                        if let Some(tx) = ready.take() {
+                            tx.send(()).unwrap();
+                        }
                     }
                     client.close();
                     served
                 })
             })
             .collect();
-        // Mutate concurrently with the readers.
+        drop(ready_tx);
+        // Mutate concurrently with the readers, once every reader is in.
+        for _ in 0..3 {
+            ready_rx.recv().expect("every reader answers a batch");
+        }
         let mut writer = QueryClient::connect(&addr).unwrap();
         for (u, v) in [(0u32, 12u32), (3, 15), (6, 18), (9, 21)] {
             let r = writer

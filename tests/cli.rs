@@ -286,6 +286,28 @@ fn sampling_usage_errors_and_jiyan_run() {
     assert_eq!(csv.lines().count(), 41, "header + one row per node: {csv}");
 }
 
+#[test]
+fn adaptive_sampled_run_matches_pooled() {
+    // Node 0 is not among the 16 drawn sources here: the adaptive root
+    // must relay the DFS token instead of starting a wave of its own.
+    let args = [
+        "centrality",
+        "--generate",
+        "ba:256:3:11",
+        "--algorithm",
+        "sampled:16",
+        "--adaptive",
+        "--csv",
+    ];
+    let serial = distbc(&args);
+    assert!(serial.status.success(), "{serial:?}");
+    let csv = stdout(&serial);
+    assert_eq!(csv.lines().count(), 257, "header + one row per node");
+    let pooled = distbc(&[&args[..], &["--threads", "2"]].concat());
+    assert!(pooled.status.success(), "{pooled:?}");
+    assert_eq!(stdout(&pooled), csv, "serial and pooled CSVs differ");
+}
+
 fn spawn_distbc(args: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_distbc"))
         .args(args)
