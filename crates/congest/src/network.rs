@@ -408,6 +408,8 @@ pub struct Network<P> {
     /// Fault-delayed messages still in flight:
     /// `(delivery round, target, port, message)` in injection order.
     delayed: Vec<(u64, NodeId, usize, Message)>,
+    /// Recycled list of the delayed messages due this round.
+    due: Vec<(NodeId, usize, Message)>,
     metrics: NetMetrics,
     round: u64,
     sink: Option<Box<dyn TraceSink>>,
@@ -450,6 +452,7 @@ impl<P: Protocol> Network<P> {
             calendar: WakeCalendar::default(),
             active: Vec::new(),
             delayed: Vec::new(),
+            due: Vec::new(),
             metrics: NetMetrics::default(),
             round: 0,
             sink: None,
@@ -583,18 +586,21 @@ impl<P: Protocol> Network<P> {
         let round = self.round;
         let mut first_error: Option<CongestError> = None;
         let mut touched = std::mem::take(&mut self.touched);
-        if !self.delayed.is_empty() {
-            for (target, port, msg) in take_due(&mut self.delayed, round) {
+        take_due(&mut self.delayed, round, &mut self.due);
+        if !self.due.is_empty() {
+            for (target, port, msg) in self.due.drain(..) {
                 let inbox = &mut self.inboxes[target as usize];
                 if inbox.is_empty() {
                     touched.push(target);
                 }
                 inbox.push((port, msg));
-                // Stable: equal-port entries (Record-mode collisions, fault
-                // duplicates) keep arrival order — normal before delayed —
-                // which is the canonical order the parallel engine's shard
-                // drain reproduces.
-                inbox.sort_by_key(|&(port, _)| port);
+            }
+            // Stable: equal-port entries (Record-mode collisions, fault
+            // duplicates) keep arrival order — normal before delayed —
+            // which is the canonical order the parallel engine's shard
+            // drain reproduces.
+            for &t in &touched {
+                sort_inbox(&mut self.inboxes[t as usize]);
             }
         }
         self.metrics.begin_round(round);
@@ -713,7 +719,7 @@ impl<P: Protocol> Network<P> {
         for &t in &touched {
             // Stable for the same reason as the delayed-message insertion
             // above: staging order breaks equal-port ties canonically.
-            spare[t as usize].sort_by_key(|&(port, _)| port);
+            sort_inbox(&mut spare[t as usize]);
         }
         self.touched = touched;
         std::mem::swap(&mut self.inboxes, &mut self.spare);
@@ -1041,7 +1047,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
                         // post-swap state.
                         self.drain_lanes();
                         for &local in &self.touched {
-                            self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+                            sort_inbox(&mut self.inboxes[local as usize]);
                         }
                         self.touched.clear();
                     }
@@ -1159,7 +1165,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
             // the last stepped round's batches are still in flight.
             self.drain_lanes();
             for &local in &self.touched {
-                self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+                sort_inbox(&mut self.inboxes[local as usize]);
             }
             self.touched.clear();
         }
@@ -1229,7 +1235,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
             inbox.push((port, msg));
         }
         for &local in &self.touched {
-            self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+            sort_inbox(&mut self.inboxes[local as usize]);
         }
         let mut active = std::mem::take(&mut self.active);
         self.calendar.due(round, &self.touched, &mut active);
@@ -1673,19 +1679,19 @@ impl<P: Protocol + Send> Network<P> {
                 (0..workers).map(|_| Some(StepBufs::default())).collect();
             let mut inject_bufs: Vec<Vec<(u32, usize, Message)>> =
                 (0..workers).map(|_| Vec::new()).collect();
+            let mut due = Vec::new();
 
             let run_result = loop {
                 let round = *round_ref;
                 // Group due fault-delayed messages per destination shard,
                 // preserving injection order within each.
-                if !delayed.is_empty() {
-                    for (target, port, msg) in take_due(delayed, round) {
-                        inject_bufs[map_ref.shard_of(target)].push((
-                            map_ref.local_of(target) as u32,
-                            port,
-                            msg,
-                        ));
-                    }
+                take_due(delayed, round, &mut due);
+                for (target, port, msg) in due.drain(..) {
+                    inject_bufs[map_ref.shard_of(target)].push((
+                        map_ref.local_of(target) as u32,
+                        port,
+                        msg,
+                    ));
                 }
                 let tracing = sink.is_some();
                 let profiling = profiler.is_some();
@@ -1884,21 +1890,30 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Moves the fault-delayed messages due in `round` out of `delayed`,
-/// preserving injection order (so inbox insertion stays deterministic).
+/// Moves the fault-delayed messages due in `round` out of `delayed` and
+/// appends them to `due`, preserving injection order (so inbox insertion
+/// stays deterministic).
 fn take_due(
     delayed: &mut Vec<(u64, NodeId, usize, Message)>,
     round: u64,
-) -> Vec<(NodeId, usize, Message)> {
-    let mut due = Vec::new();
-    for (at, target, port, msg) in std::mem::take(delayed) {
-        if at == round {
-            due.push((target, port, msg));
-        } else {
-            delayed.push((at, target, port, msg));
-        }
+    due: &mut Vec<(NodeId, usize, Message)>,
+) {
+    due.extend(
+        delayed
+            .extract_if(.., |&mut (at, ..)| at == round)
+            .map(|(_, target, port, msg)| (target, port, msg)),
+    );
+}
+
+/// Sorts an inbox into port order, stably: equal-port entries keep their
+/// arrival order. Returns at once when the inbox is already in port order
+/// (always so for the serial engine's ascending-sender deliveries), which
+/// also spares the stable sort's scratch allocation on long inboxes.
+pub(crate) fn sort_inbox(inbox: &mut [(usize, Message)]) {
+    if inbox.is_sorted_by_key(|&(port, _)| port) {
+        return;
     }
-    due
+    inbox.sort_by_key(|&(port, _)| port);
 }
 
 /// Validates and delivers one node's staged sends: collision detection,

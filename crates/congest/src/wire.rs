@@ -52,7 +52,7 @@ use crate::calendar::WakeCalendar;
 use crate::faults::{corrupt_message, FaultPlan};
 use crate::message::Message;
 use crate::metrics::NetMetrics;
-use crate::network::{account_sends, panic_message, CongestError, Protocol, RoundCtx};
+use crate::network::{account_sends, panic_message, sort_inbox, CongestError, Protocol, RoundCtx};
 use crate::partition::ShardMap;
 use crate::telemetry::{Telemetry, TelemetryHandle, COUNTERS, SCHEMA_VERSION};
 use crate::trace::TraceSink;
@@ -803,7 +803,7 @@ pub fn run_shard_engine<P: Protocol>(
             }
         }
         for &local in &touched {
-            inboxes[local as usize].sort_by_key(|&(port, _)| port);
+            sort_inbox(&mut inboxes[local as usize]);
         }
         calendar.due(round, &touched, &mut active);
         touched.clear();

@@ -397,6 +397,7 @@ pub enum ProtocolMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bc_numeric::bits::INLINE_BITS;
     use bc_numeric::Rounding;
 
     fn codec(n: usize) -> Codec {
@@ -486,6 +487,16 @@ mod tests {
             let c = codec(n);
             let max_off = (n as u64 + 2) * n as u64 + 16;
             assert!(max_off < (1u64 << c.ts_w), "n={n}");
+        }
+    }
+
+    #[test]
+    fn largest_reliable_frame_fits_inline() {
+        // Widening a field must not silently put messages on the heap.
+        for n in [2usize, 256, 1536, 10_000, 1 << 20, 1 << 22] {
+            let c = Codec::new(n, FpParams::for_graph_size(n));
+            let frame = c.max_message_bits() + crate::transport::HEADER_BITS;
+            assert!(frame <= INLINE_BITS, "n={n}: {frame} bits");
         }
     }
 

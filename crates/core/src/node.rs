@@ -40,11 +40,36 @@ use crate::schedule::{PhaseSchedule, Scheduling};
 use bc_congest::trace::ProtocolDetail;
 use bc_congest::{Message, Protocol, RoundCtx};
 use bc_numeric::{CeilFloat, FpParams};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// First-contact wave messages for one source in one round:
-/// `(port, sender distance, σ̂)` per predecessor.
-type WaveBatch = Vec<(usize, u32, CeilFloat)>;
+/// One decoded first-contact wave message:
+/// `(source, port, sender distance, σ̂)`.
+type NewWave = (u32, usize, u32, CeilFloat);
+
+/// One staged wave broadcast: `(source, sender distance, σ̂)`.
+type OutWave = (u32, u32, CeilFloat);
+
+/// One round's working lists, shared by every node the thread steps:
+/// rounds never nest, so a node borrows them for its round and hands them
+/// back, and no node keeps a buffer of its own.
+#[derive(Default)]
+struct RoundScratch {
+    /// This round's first-contact waves, in inbox order.
+    new_waves: Vec<NewWave>,
+    /// This round's wave broadcasts (at most one — Lemma 4), shipped by
+    /// [`DistBcNode::flush_counting_sends`].
+    out_waves: Vec<OutWave>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<RoundScratch> = const {
+        Cell::new(RoundScratch {
+            new_waves: Vec::new(),
+            out_waves: Vec::new(),
+        })
+    };
+}
 
 /// The globally agreed aggregation parameters, fixed by the root's
 /// `AggStart` broadcast: a common base round plus the reduced
@@ -190,11 +215,9 @@ pub struct DistBcNode {
     /// order by construction, no hashing in the round hot path.
     agg_schedule: Vec<(u64, u32)>,
     agg_cursor: usize,
-    // Per-round staging: wave sends (at most one per port — Lemma 4) and
-    // an optional token move, merged at flush into `WaveWithToken` when
-    // they share an edge so the token travels at wave speed without
-    // collisions.
-    out_waves: Vec<(usize, u32, u32, CeilFloat)>,
+    // Per-round staging of the DFS token move, merged at flush into
+    // `WaveWithToken` on the token's edge when a wave broadcast is staged
+    // too, so the token travels at wave speed without collisions.
     out_token: Option<usize>,
     // Results.
     delta_sum: f64,
@@ -265,7 +288,6 @@ impl DistBcNode {
             agg_announced: false,
             agg_schedule: Vec::new(),
             agg_cursor: 0,
-            out_waves: Vec::new(),
             out_token: None,
             delta_sum: 0.0,
             delta_in_sum: 0.0,
@@ -493,9 +515,9 @@ impl DistBcNode {
         }
     }
 
-    /// Phase B: broadcast this node's own BFS wave and register itself as a
-    /// source (Algorithm 2 lines 2–6).
-    fn start_own_wave(&mut self, ctx: &mut RoundCtx<'_>, r: u64) {
+    /// Phase B: register this node as a source and return its own BFS wave
+    /// for broadcast (Algorithm 2 lines 2–6).
+    fn start_own_wave(&mut self, ctx: &mut RoundCtx<'_>, r: u64) -> OutWave {
         ctx.trace(ProtocolDetail::WaveStart { ts: r });
         let one = CeilFloat::one(self.codec.fp);
         let i = self
@@ -508,9 +530,7 @@ impl DistBcNode {
         self.pred_start[i] = self.pred_arena.len() as u32;
         self.pred_len[i] = 0;
         self.mark_seen(i as u32);
-        for port in 0..ctx.degree() {
-            self.out_waves.push((port, ctx.id(), 0, one));
-        }
+        (ctx.id(), 0, one)
     }
 
     /// Phase B: move the DFS token onward — next unvisited child, else back
@@ -530,50 +550,49 @@ impl DistBcNode {
         }
     }
 
-    /// Ships this round's staged counting-phase messages, merging the token
-    /// into a same-edge wave (`WaveWithToken`) when possible.
-    fn flush_counting_sends(&mut self, ctx: &mut RoundCtx<'_>) {
+    /// Ships this round's counting-phase messages — the wave broadcasts in
+    /// `out_waves` and the staged token move — merging the token into a
+    /// same-edge wave (`WaveWithToken`) when possible.
+    fn flush_counting_sends(&mut self, ctx: &mut RoundCtx<'_>, out_waves: &[OutWave]) {
         let token_port = self.out_token.take();
         if let Some(port) = token_port {
             let to = ctx.neighbor(port);
             ctx.trace(ProtocolDetail::TokenSend { to });
         }
-        let mut token_merged = false;
-        for (port, source, sender_dist, sigma) in std::mem::take(&mut self.out_waves) {
-            let msg = if token_port == Some(port) {
-                token_merged = true;
-                ProtocolMsg::WaveWithToken {
-                    source,
-                    sender_dist,
-                    sigma,
+        for &(source, sender_dist, sigma) in out_waves {
+            let wave = self.codec.encode(&ProtocolMsg::Wave {
+                source,
+                sender_dist,
+                sigma,
+            });
+            for port in 0..ctx.degree() {
+                if token_port == Some(port) {
+                    let msg = ProtocolMsg::WaveWithToken {
+                        source,
+                        sender_dist,
+                        sigma,
+                    };
+                    self.send_pm(ctx, port, &msg);
+                } else {
+                    ctx.send(port, wave.clone());
                 }
-            } else {
-                ProtocolMsg::Wave {
-                    source,
-                    sender_dist,
-                    sigma,
-                }
-            };
-            self.send_pm(ctx, port, &msg);
+            }
         }
-        if let (Some(port), false) = (token_port, token_merged) {
+        // A staged wave covers every port, so the token rode it if any.
+        if let Some(port) = token_port.filter(|_| out_waves.is_empty()) {
             self.send_pm(ctx, port, &ProtocolMsg::Token);
         }
     }
 
-    /// Phase B: a batch of first-contact wave messages for source `s`
-    /// (all from predecessors, all in the same round — Lemma 4's timing).
-    fn absorb_wave(
-        &mut self,
-        ctx: &mut RoundCtx<'_>,
-        r: u64,
-        source: u32,
-        batch: &[(usize, u32, CeilFloat)],
-    ) {
-        debug_assert!(!batch.is_empty());
-        let dist = batch[0].1 + 1;
+    /// Phase B: the batch of first-contact wave messages for `source`
+    /// (all from predecessors, all in the same round — Lemma 4's timing):
+    /// the entries of `waves` that carry `source`, in inbox order. Returns
+    /// the wave to rebroadcast.
+    fn absorb_wave(&mut self, r: u64, source: u32, waves: &[NewWave]) -> OutWave {
+        let batch = || waves.iter().filter(|w| w.0 == source);
+        let dist = batch().next().expect("batch is non-empty").2 + 1;
         debug_assert!(
-            batch.iter().all(|&(_, d, _)| d + 1 == dist),
+            batch().all(|&(_, _, d, _)| d + 1 == dist),
             "mixed-distance wave batch"
         );
         let mut sigma = CeilFloat::zero(self.codec.fp);
@@ -584,18 +603,16 @@ impl DistBcNode {
         // Bump-append the predecessor ports: this is the only round this
         // source's list is written, so the CSR slice stays contiguous.
         self.pred_start[i] = self.pred_arena.len() as u32;
-        self.pred_len[i] = batch.len() as u32;
-        for &(port, _, s) in batch {
+        for &(_, port, _, s) in batch() {
             sigma += s;
             self.pred_arena.push(port as u32);
         }
+        self.pred_len[i] = self.pred_arena.len() as u32 - self.pred_start[i];
         self.ts[i] = r - dist as u64;
         self.dist[i] = dist;
         self.sigma[i] = sigma;
         self.mark_seen(i as u32);
-        for port in 0..ctx.degree() {
-            self.out_waves.push((port, source, dist, sigma));
-        }
+        (source, dist, sigma)
     }
 
     /// Phase C1: send the subtree extrema to the parent once armed and all
@@ -700,22 +717,12 @@ impl DistBcNode {
                 value: psi_msg,
             }
         };
+        let msg = self.codec.encode(&msg);
         let start = self.pred_start[i] as usize;
         let len = self.pred_len[i] as usize;
-        for k in start..start + len {
-            self.send_pm(ctx, self.pred_arena[k] as usize, &msg);
+        for &port in &self.pred_arena[start..start + len] {
+            ctx.send(port as usize, msg.clone());
         }
-    }
-
-    /// Extracts the (uniform) announced depth from this round's
-    /// tree-announce messages.
-    fn tree_dist_from_inbox(&self, inbox: &[(usize, Message)]) -> u32 {
-        for (_, raw) in inbox {
-            if let Ok(ProtocolMsg::TreeAnnounce { dist, .. }) = self.codec.decode(raw) {
-                return dist + 1;
-            }
-        }
-        unreachable!("caller guarantees an announce is present")
     }
 }
 
@@ -725,11 +732,15 @@ impl Protocol for DistBcNode {
         let my_id = ctx.id();
 
         // ---- 1. Decode and dispatch the inbox. -------------------------
-        let mut new_waves: Vec<(u32, WaveBatch)> = Vec::new();
+        let RoundScratch {
+            mut new_waves,
+            mut out_waves,
+        } = SCRATCH.take();
         let mut token_arrived = false;
         let mut got_agg_start: Option<AggInfo> = None;
         let mut got_start_reduce = false;
-        let mut first_announce_batch: Vec<usize> = Vec::new();
+        // `(port, depth)` of the lowest-port announce while still unparented.
+        let mut first_announce: Option<(usize, u32)> = None;
         for (port, raw) in inbox {
             // A corrupt payload becomes a CongestError::NodePanic naming
             // this node and round, not a process abort.
@@ -738,15 +749,12 @@ impl Protocol for DistBcNode {
                 Err(e) => panic!("undecodable message on port {port}: {e}"),
             };
             match decoded {
-                ProtocolMsg::TreeAnnounce {
-                    dist: _,
-                    chooses_you,
-                } => {
+                ProtocolMsg::TreeAnnounce { dist, chooses_you } => {
                     if chooses_you {
                         self.children_ports.push(*port);
                     }
-                    if self.tree_dist.is_none() {
-                        first_announce_batch.push(*port);
+                    if self.tree_dist.is_none() && first_announce.is_none() {
+                        first_announce = Some((*port, dist));
                     }
                 }
                 ProtocolMsg::Token => token_arrived = true,
@@ -771,10 +779,7 @@ impl Protocol for DistBcNode {
                         .index_of(source)
                         .is_some_and(|i| !self.seen(i))
                     {
-                        match new_waves.iter_mut().find(|(s, _)| *s == source) {
-                            Some((_, batch)) => batch.push((*port, sender_dist, sigma)),
-                            None => new_waves.push((source, vec![(*port, sender_dist, sigma)])),
-                        }
+                        new_waves.push((source, *port, sender_dist, sigma));
                     }
                 }
                 ProtocolMsg::Reduce {
@@ -836,12 +841,11 @@ impl Protocol for DistBcNode {
         // ---- 2. Phase A: tree build. ------------------------------------
         if r == 0 && my_id == 0 {
             self.announce_tree(ctx, r, 0);
-        } else if self.tree_dist.is_none() && !first_announce_batch.is_empty() {
+        } else if let Some((port, dist)) = first_announce {
             // All announces in one round carry the same depth (synchronous
             // BFS); adopt the lowest-port sender as parent.
-            self.parent_port = Some(first_announce_batch[0]);
-            let dist = self.tree_dist_from_inbox(inbox);
-            self.announce_tree(ctx, r, dist);
+            self.parent_port = Some(port);
+            self.announce_tree(ctx, r, dist + 1);
         }
         self.maybe_finish_tree(ctx, r);
 
@@ -889,17 +893,26 @@ impl Protocol for DistBcNode {
                 }
             }
         }
-        for (source, batch) in std::mem::take(&mut new_waves) {
-            self.absorb_wave(ctx, r, source, &batch);
+        // One batch per source, absorbed in order of first appearance.
+        for (k, &(source, ..)) in new_waves.iter().enumerate() {
+            if new_waves[..k].iter().all(|w| w.0 != source) {
+                out_waves.push(self.absorb_wave(r, source, &new_waves[k..]));
+            }
         }
         if self.wave_round == Some(r) {
-            self.start_own_wave(ctx, r);
+            out_waves.push(self.start_own_wave(ctx, r));
         }
         if self.token_forward_round == Some(r) {
             self.token_forward_round = None;
             self.forward_token(r);
         }
-        self.flush_counting_sends(ctx);
+        self.flush_counting_sends(ctx, &out_waves);
+        new_waves.clear();
+        out_waves.clear();
+        SCRATCH.set(RoundScratch {
+            new_waves,
+            out_waves,
+        });
 
         // ---- 4. Phase C: reduce and broadcast. --------------------------
         match self.opts.scheduling {
@@ -913,13 +926,13 @@ impl Protocol for DistBcNode {
                     }
                 }
                 if self.start_reduce_round == Some(r) {
-                    for &port in &self.children_ports.clone() {
+                    for &port in &self.children_ports {
                         self.send_pm(ctx, port, &ProtocolMsg::StartReduce);
                     }
                     self.arm_reduce(ctx);
                 }
                 if got_start_reduce {
-                    for &port in &self.children_ports.clone() {
+                    for &port in &self.children_ports {
                         self.send_pm(ctx, port, &ProtocolMsg::StartReduce);
                     }
                     self.arm_reduce(ctx);
@@ -962,7 +975,7 @@ impl Protocol for DistBcNode {
                     max_ts: info.max_ts,
                     d: info.d,
                 };
-                for &port in &self.children_ports.clone() {
+                for &port in &self.children_ports {
                     self.send_pm(ctx, port, &msg);
                 }
                 ctx.trace(ProtocolDetail::PhaseEnter { phase: 'D' });

@@ -6,41 +6,144 @@
 //! to a bit string with [`BitWriter`] and parsed back with [`BitReader`];
 //! the simulator then enforces its per-message bit budget against
 //! [`BitBuf::bit_len`].
+//!
+//! Payloads of up to [`INLINE_BITS`] bits live inline in the [`BitBuf`]
+//! value, so building, cloning and dropping a message never touches the
+//! allocator; only longer strings spill to the heap.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Words stored inline before a [`BitBuf`] spills to the heap.
+const INLINE_WORDS: usize = 4;
+
+/// Longest bit string a [`BitBuf`] holds without a heap allocation.
+///
+/// 256 bits cover the protocol codec's largest message plus the reliable
+/// transport's 75-bit frame header for every `n ≤ 2²²` (154 bits at
+/// `n = 256`, 196 at `n = 10,000`, 238 at `n = 2²⁰`); three words would
+/// already spill reliable frames at `n = 10,000`.
+pub const INLINE_BITS: usize = INLINE_WORDS * 64;
+
+/// Storage of a [`BitBuf`]: the length lives in each variant so the enum
+/// tag fits in the inline variant's padding (five words in all). The
+/// variant follows the length: at most [`INLINE_BITS`] bits are inline.
+/// Bits past the length are zero, in the last used word and in every
+/// inline word after it.
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        words: [u64; INLINE_WORDS],
+        bits: u16,
+    },
+    /// Exactly `⌈bits / 64⌉` words.
+    Spilled { words: Vec<u64>, bits: usize },
+}
 
 /// An immutable packed bit string (little-endian within 64-bit words).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Equality and hashing depend only on the bit content.
+#[derive(Clone)]
 pub struct BitBuf {
-    words: Vec<u64>,
-    bits: usize,
+    repr: Repr,
 }
 
 impl BitBuf {
     /// The empty bit string.
     pub fn new() -> Self {
-        BitBuf::default()
+        BitBuf {
+            repr: Repr::Inline {
+                words: [0; INLINE_WORDS],
+                bits: 0,
+            },
+        }
     }
 
     /// Number of bits stored.
     pub fn bit_len(&self) -> usize {
-        self.bits
+        match self.repr {
+            Repr::Inline { bits, .. } => bits as usize,
+            Repr::Spilled { bits, .. } => bits,
+        }
     }
 
     /// Returns `true` if no bits are stored.
     pub fn is_empty(&self) -> bool {
-        self.bits == 0
+        self.bit_len() == 0
     }
 
     /// Starts reading this buffer from the beginning.
     pub fn reader(&self) -> BitReader<'_> {
-        BitReader { buf: self, pos: 0 }
+        BitReader {
+            words: self.words(),
+            bits: self.bit_len(),
+            pos: 0,
+        }
+    }
+
+    /// The used words: `⌈bit_len / 64⌉` of them.
+    fn words(&self) -> &[u64] {
+        match &self.repr {
+            Repr::Inline { words, bits } => &words[..(*bits as usize).div_ceil(64)],
+            Repr::Spilled { words, .. } => words,
+        }
+    }
+
+    /// Appends the low `width` bits of `value` (`1 ≤ width ≤ 64`, no bits
+    /// above `width`), moving the words to the heap when the string
+    /// outgrows [`INLINE_BITS`].
+    fn push(&mut self, value: u64, width: u32) {
+        let at = self.bit_len();
+        let end = at + width as usize;
+        if let Repr::Inline { words, .. } = &self.repr {
+            if end > INLINE_BITS {
+                let words = words[..at.div_ceil(64)].to_vec();
+                self.repr = Repr::Spilled { words, bits: at };
+            }
+        }
+        let words = match &mut self.repr {
+            Repr::Inline { words, bits } => {
+                *bits = end as u16;
+                &mut words[..]
+            }
+            Repr::Spilled { words, bits } => {
+                *bits = end;
+                words.resize(end.div_ceil(64), 0);
+                &mut words[..]
+            }
+        };
+        let (idx, shift) = (at / 64, at % 64);
+        words[idx] |= value << shift;
+        if shift + width as usize > 64 {
+            words[idx + 1] |= value >> (64 - shift);
+        }
+    }
+}
+
+impl Default for BitBuf {
+    fn default() -> Self {
+        BitBuf::new()
+    }
+}
+
+impl PartialEq for BitBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self.bit_len() == other.bit_len() && self.words() == other.words()
+    }
+}
+
+impl Eq for BitBuf {}
+
+impl Hash for BitBuf {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bit_len().hash(state);
+        self.words().hash(state);
     }
 }
 
 impl fmt::Debug for BitBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BitBuf({} bits)", self.bits)
+        write!(f, "BitBuf({} bits)", self.bit_len())
     }
 }
 
@@ -87,18 +190,7 @@ impl BitWriter {
         if width == 0 {
             return;
         }
-        let bit_pos = self.buf.bits % 64;
-        if bit_pos == 0 {
-            self.buf.words.push(value);
-        } else {
-            let word = self.buf.words.last_mut().expect("non-empty on unaligned");
-            *word |= value << bit_pos;
-            let spill = 64 - bit_pos as u32;
-            if width > spill {
-                self.buf.words.push(value >> spill);
-            }
-        }
-        self.buf.bits += width as usize;
+        self.buf.push(value, width);
     }
 
     /// Appends a single boolean bit.
@@ -113,14 +205,15 @@ impl BitWriter {
 
     /// Bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.buf.bits
+        self.buf.bit_len()
     }
 }
 
 /// Sequential reader over a [`BitBuf`].
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
-    buf: &'a BitBuf,
+    words: &'a [u64],
+    bits: usize,
     pos: usize,
 }
 
@@ -133,17 +226,17 @@ impl BitReader<'_> {
     pub fn read(&mut self, width: u32) -> u64 {
         assert!(width <= 64, "bit field wider than 64");
         assert!(
-            self.pos + width as usize <= self.buf.bits,
+            self.pos + width as usize <= self.bits,
             "BitReader overrun: reading {width} bits at position {} of {}",
             self.pos,
-            self.buf.bits
+            self.bits
         );
         if width == 0 {
             return 0;
         }
         let word_idx = self.pos / 64;
         let bit_pos = (self.pos % 64) as u32;
-        let lo = self.buf.words[word_idx] >> bit_pos;
+        let lo = self.words[word_idx] >> bit_pos;
         let avail = 64 - bit_pos;
         let v = if width <= avail {
             if width == 64 {
@@ -152,7 +245,7 @@ impl BitReader<'_> {
                 lo & ((1u64 << width) - 1)
             }
         } else {
-            let hi = self.buf.words[word_idx + 1] << avail;
+            let hi = self.words[word_idx + 1] << avail;
             (lo | hi)
                 & if width == 64 {
                     u64::MAX
@@ -171,7 +264,7 @@ impl BitReader<'_> {
 
     /// Bits not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.bits - self.pos
+        self.bits - self.pos
     }
 }
 
@@ -287,6 +380,71 @@ mod tests {
         let buf = w.finish();
         assert!(buf.is_empty());
         assert_eq!(buf.reader().read(0), 0);
+    }
+
+    fn ones(bits: usize) -> BitBuf {
+        let mut w = BitWriter::new();
+        for _ in 0..bits {
+            w.push_bool(true);
+        }
+        w.finish()
+    }
+
+    fn hash_of(b: &BitBuf) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn inline_capacity_edge_and_spill() {
+        // Four inline words plus one word for the length and the tag.
+        assert_eq!(std::mem::size_of::<BitBuf>(), 5 * 8);
+        let full = ones(INLINE_BITS);
+        assert!(matches!(full.repr, Repr::Inline { .. }));
+        let mut r = full.reader();
+        for _ in 0..INLINE_WORDS {
+            assert_eq!(r.read(64), u64::MAX);
+        }
+        assert_eq!(r.remaining(), 0);
+
+        let over = ones(INLINE_BITS + 1);
+        assert!(matches!(over.repr, Repr::Spilled { .. }));
+        let mut r = over.reader();
+        for _ in 0..INLINE_WORDS {
+            assert_eq!(r.read(64), u64::MAX);
+        }
+        assert!(r.read_bool());
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(over.clone(), over);
+        assert_ne!(over, full);
+    }
+
+    #[test]
+    fn equality_and_hash_follow_content_not_construction() {
+        for bits in [0, 1, 63, 64, 65, 200, INLINE_BITS, INLINE_BITS + 1, 700] {
+            // Bit by bit versus whole words plus a tail.
+            let a = ones(bits);
+            let mut w = BitWriter::new();
+            for _ in 0..bits / 64 {
+                w.push(u64::MAX, 64);
+            }
+            let tail = (bits % 64) as u32;
+            w.push(if tail == 0 { 0 } else { (1 << tail) - 1 }, tail);
+            let b = w.finish();
+            assert_eq!(a, b, "{bits} bits");
+            assert_eq!(hash_of(&a), hash_of(&b), "{bits} bits");
+            assert_eq!(a.clone(), b);
+        }
+        // Same length, different content; same content prefix, different
+        // length.
+        let mut w = BitWriter::new();
+        w.push(0b10, 2);
+        let x = w.finish();
+        assert_ne!(x, ones(2));
+        assert_ne!(ones(3), ones(2));
+        assert_eq!(BitBuf::default(), BitBuf::new());
     }
 
     #[test]

@@ -208,6 +208,7 @@ proptest! {
         }
         let buf = w.finish();
         prop_assert_eq!(buf.bit_len(), fields.iter().map(|&(_, w)| w as usize).sum::<usize>());
+        prop_assert_eq!(&buf.clone(), &buf);
         let mut r = buf.reader();
         for (m, width) in masked {
             prop_assert_eq!(r.read(width), m);
