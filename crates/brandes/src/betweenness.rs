@@ -6,7 +6,7 @@
 //! halved (the paper's Figure 1 computes `C_B(v2) = (Σ_s δ_s·(v2)) / 2 =
 //! 7/2`).
 
-use bc_graph::algo::{bfs, sigma_big, sigma_f64};
+use bc_graph::algo::{bfs, sigma_big, sigma_f64, UNREACHABLE};
 use bc_graph::{Graph, NodeId};
 use bc_numeric::{BigRational, BigUint, CeilFloat, FpParams};
 
@@ -183,7 +183,9 @@ pub fn betweenness_naive(g: &Graph) -> Vec<f64> {
 
 /// Per-source dependency vector `δ_s·(v)` for all `v` (Eq. 8–9), in `f64`.
 /// Exposed for the sampling approximations and for tests of per-source
-/// quantities like the worked example of Figure 1.
+/// quantities like the worked example of Figure 1. A thin wrapper over
+/// [`Workspace::dependencies_into`]; callers running many sources should
+/// keep a [`Workspace`] instead.
 ///
 /// ```
 /// use bc_brandes::dependencies_from;
@@ -194,17 +196,118 @@ pub fn betweenness_naive(g: &Graph) -> Vec<f64> {
 /// assert_eq!(dep[1], 3.0);
 /// ```
 pub fn dependencies_from(g: &Graph, s: NodeId) -> Vec<f64> {
-    let dag = bfs(g, s);
-    let sigma = sigma_f64(&dag);
-    let n = g.n();
-    let mut delta = vec![0.0f64; n];
-    for &w in dag.order.iter().rev() {
-        let coeff = (1.0 + delta[w as usize]) / sigma[w as usize];
-        for &v in &dag.preds[w as usize] {
-            delta[v as usize] += sigma[v as usize] * coeff;
+    let mut delta = vec![0.0f64; g.n()];
+    Workspace::new(g.n()).dependencies_into(g, s, &mut delta);
+    delta
+}
+
+/// Reusable scratch space for single-source Brandes runs: one BFS
+/// distance array, one σ array, and the visit order, which doubles as
+/// the BFS queue. No predecessor lists are built and nothing is
+/// allocated per source; only the entries a run touched are reset
+/// before the next one.
+///
+/// The fused kernel is bit-identical to the textbook
+/// BFS-DAG-then-accumulate form ([`betweenness_f64`]): σ is pushed
+/// forward in dequeue order, so `σ[w]` receives its predecessors' counts
+/// in BFS order, exactly as summing `P_s(w)` does; δ is pushed backward
+/// from each `w` in reverse BFS order to the neighbors one level closer,
+/// so every `δ[v]` receives its terms in the same order as the loop over
+/// predecessor lists. Equal operands in equal order give equal bits,
+/// even where σ exceeds 2⁵³.
+///
+/// ```
+/// use bc_brandes::{dependencies_from, Workspace};
+/// use bc_graph::generators;
+///
+/// let g = generators::paper_figure1();
+/// let mut ws = Workspace::new(g.n());
+/// let mut delta = vec![0.0; g.n()];
+/// ws.dependencies_into(&g, 0, &mut delta);
+/// assert_eq!(delta, dependencies_from(&g, 0));
+/// assert_eq!(ws.distances(&g, 0)[1], 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+    /// Visit order of the last run, which is also its BFS queue.
+    order: Vec<NodeId>,
+}
+
+impl Workspace {
+    /// A workspace sized for graphs of `n` nodes (it resizes itself if
+    /// handed a graph of another size).
+    pub fn new(n: usize) -> Workspace {
+        Workspace {
+            dist: vec![UNREACHABLE; n],
+            sigma: vec![0.0; n],
+            order: Vec::with_capacity(n),
         }
     }
-    delta
+
+    /// BFS from `s` that also counts shortest paths: afterwards `dist`
+    /// holds `d(s, ·)` (or [`UNREACHABLE`]), `sigma` holds `σ_s·`, and
+    /// `order` the reachable nodes in dequeue order.
+    fn forward(&mut self, g: &Graph, s: NodeId) {
+        let n = g.n();
+        assert!((s as usize) < n, "BFS source out of range");
+        if self.dist.len() != n {
+            *self = Workspace::new(n);
+        }
+        for &v in &self.order {
+            self.dist[v as usize] = UNREACHABLE;
+            self.sigma[v as usize] = 0.0;
+        }
+        self.order.clear();
+        self.dist[s as usize] = 0;
+        self.sigma[s as usize] = 1.0;
+        self.order.push(s);
+        let mut head = 0;
+        while let Some(&v) = self.order.get(head) {
+            head += 1;
+            let (next, sv) = (self.dist[v as usize] + 1, self.sigma[v as usize]);
+            for &w in g.neighbors(v) {
+                let dw = &mut self.dist[w as usize];
+                if *dw == UNREACHABLE {
+                    *dw = next;
+                    self.order.push(w);
+                }
+                if *dw == next {
+                    self.sigma[w as usize] += sv;
+                }
+            }
+        }
+    }
+
+    /// BFS distances `d(s, ·)` from `s`, [`UNREACHABLE`] for nodes in
+    /// other components. Valid until the workspace's next run.
+    pub fn distances(&mut self, g: &Graph, s: NodeId) -> &[u32] {
+        self.forward(g, s);
+        &self.dist
+    }
+
+    /// Writes the dependency vector `δ_s·(·)` of source `s` into `delta`
+    /// (length `g.n()`), bit-identical to the per-source accumulation
+    /// inside [`betweenness_f64`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s >= g.n()` or `delta.len() != g.n()`.
+    pub fn dependencies_into(&mut self, g: &Graph, s: NodeId, delta: &mut [f64]) {
+        assert_eq!(delta.len(), g.n(), "delta must have one entry per node");
+        self.forward(g, s);
+        delta.fill(0.0);
+        for &w in self.order[1..].iter().rev() {
+            let dw = self.dist[w as usize];
+            let coeff = (1.0 + delta[w as usize]) / self.sigma[w as usize];
+            for &v in g.neighbors(w) {
+                if self.dist[v as usize] + 1 == dw {
+                    delta[v as usize] += self.sigma[v as usize] * coeff;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub mod ranking;
 pub mod weighted;
 
 pub use betweenness::{
-    betweenness_ceilfloat, betweenness_exact, betweenness_f64, betweenness_naive, dependencies_from,
+    betweenness_ceilfloat, betweenness_exact, betweenness_f64, betweenness_naive,
+    dependencies_from, Workspace,
 };
 pub use centrality::{closeness_centrality, graph_centrality, stress_centrality};

@@ -5,10 +5,11 @@
 
 use bc_brandes::{
     betweenness_exact, betweenness_f64, betweenness_naive, closeness_centrality, dependencies_from,
-    graph_centrality, stress_centrality, weighted,
+    graph_centrality, stress_centrality, weighted, Workspace,
 };
+use bc_graph::algo::{bfs, sigma_f64};
 use bc_graph::weighted::WeightedGraph;
-use bc_graph::{Graph, GraphBuilder, NodeId};
+use bc_graph::{generators, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -26,8 +27,54 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The textbook dependency accumulation over an explicit shortest-path
+/// DAG (`bfs` + `sigma_f64` + the loop over predecessor lists): the
+/// reference the fused kernel must match bit for bit.
+fn dag_dependencies(g: &Graph, s: NodeId) -> Vec<f64> {
+    let dag = bfs(g, s);
+    let sigma = sigma_f64(&dag);
+    let mut delta = vec![0.0f64; g.n()];
+    for &w in dag.order.iter().rev() {
+        let coeff = (1.0 + delta[w as usize]) / sigma[w as usize];
+        for &v in &dag.preds[w as usize] {
+            delta[v as usize] += sigma[v as usize] * coeff;
+        }
+    }
+    delta
+}
+
+fn assert_kernel_matches_dag(g: &Graph, sources: impl IntoIterator<Item = NodeId>) {
+    let mut ws = Workspace::new(g.n());
+    let mut reused = vec![0.0f64; g.n()];
+    for s in sources {
+        let want = dag_dependencies(g, s);
+        ws.dependencies_into(g, s, &mut reused);
+        for (label, got) in [("fresh", &dependencies_from(g, s)), ("reused", &reused)] {
+            for (v, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{label} s={s} v={v}: {x} vs {y}");
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_bit_identical_where_sigma_exceeds_2_pow_53() {
+    // Corner-to-corner path counts on a 40×40 grid are C(78, 39) ≈ 2.7e22,
+    // so σ sums round and any change in addition order shows in the bits.
+    let g = generators::grid(40, 40);
+    assert!(sigma_f64(&bfs(&g, 0)).iter().any(|&x| x > 2f64.powi(53)));
+    let corners = [0, 39, 1560, 1599];
+    assert_kernel_matches_dag(&g, corners.into_iter().chain((0..1600).step_by(37)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn kernel_bit_identical_to_dag_accumulation(g in arb_graph(40)) {
+        // arb_graph yields disconnected graphs: unreachable nodes keep δ = 0.
+        assert_kernel_matches_dag(&g, 0..g.n() as NodeId);
+    }
 
     #[test]
     fn brandes_equals_naive(g in arb_graph(22)) {

@@ -95,7 +95,7 @@ pub enum Counter {
     /// Query server: snapshot versions published (epoch swaps).
     SnapshotSwaps,
     /// Query server: per-source contribution vectors replayed from the
-    /// LRU cache during an incremental recompute.
+    /// source cache during an incremental recompute.
     SourceCacheHits,
     /// Query server: per-source contribution vectors recomputed (cache
     /// miss or source affected by the mutation).

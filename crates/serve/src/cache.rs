@@ -1,22 +1,30 @@
-//! LRU cache of per-source dependency vectors for the incremental
+//! Bounded cache of per-source dependency vectors for the incremental
 //! recompute engine.
 //!
 //! The cache is a pure performance device: a hit replays a stored
 //! vector that is bit-equal to what [`bc_brandes::dependencies_from`]
 //! would recompute (per-source BFS + accumulation is deterministic), so
-//! results are identical with the cache on, off, cold, or thrashing —
-//! only the recompute latency changes. Mutations invalidate exactly the
+//! results are identical with the cache on, off, cold, or full — only
+//! the recompute latency changes. Mutations invalidate exactly the
 //! affected sources; everything else survives and is replayed.
+//!
+//! Admission is first come, first kept: a vector is stored only while
+//! there is room, and only invalidation frees a slot. The engine reads
+//! sources `0..n` in the same order on every fold, and under that scan
+//! a recency policy evicts exactly the entry needed next (an LRU of
+//! `n/2` vectors never hits). Keeping whichever sources got in first
+//! instead replays the same `capacity` sources on every fold, less
+//! those a mutation invalidated.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// LRU map from source id to its dependency vector `δ_s·(·)`.
+/// Map from source id to its dependency vector `δ_s·(·)`, holding at
+/// most `capacity` vectors.
 #[derive(Debug)]
 pub struct SourceCache {
     capacity: usize,
-    clock: u64,
-    entries: HashMap<u32, (u64, Arc<Vec<f64>>)>,
+    entries: HashMap<u32, Arc<Vec<f64>>>,
     hits: u64,
     misses: u64,
 }
@@ -27,46 +35,32 @@ impl SourceCache {
     pub fn new(capacity: usize) -> SourceCache {
         SourceCache {
             capacity,
-            clock: 0,
             entries: HashMap::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Looks up the vector for source `s`, refreshing its recency.
+    /// Looks up the vector for source `s`.
     pub fn get(&mut self, s: u32) -> Option<Arc<Vec<f64>>> {
-        self.clock += 1;
-        match self.entries.get_mut(&s) {
-            Some((stamp, vec)) => {
-                *stamp = self.clock;
-                self.hits += 1;
-                Some(Arc::clone(vec))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let found = self.entries.get(&s).map(Arc::clone);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
     }
 
-    /// Stores the vector for source `s`, evicting the least recently
-    /// used entry when full.
+    /// Stores the vector for source `s` if it is already cached
+    /// (replacing it) or there is room; otherwise drops it.
     pub fn put(&mut self, s: u32, vec: Arc<Vec<f64>>) {
-        if self.capacity == 0 {
-            return;
+        if self.entries.len() < self.capacity || self.entries.contains_key(&s) {
+            self.entries.insert(s, vec);
         }
-        self.clock += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&s) {
-            if let Some((&lru, _)) = self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp) {
-                self.entries.remove(&lru);
-            }
-        }
-        self.entries.insert(s, (self.clock, vec));
     }
 
     /// Drops the entries for the given sources (post-mutation
-    /// invalidation).
+    /// invalidation), freeing their slots.
     pub fn invalidate<I: IntoIterator<Item = u32>>(&mut self, sources: I) {
         for s in sources {
             self.entries.remove(&s);
@@ -103,15 +97,19 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest() {
+    fn full_cache_admits_nothing_until_invalidation_frees_room() {
         let mut c = SourceCache::new(2);
         c.put(0, v(0.0));
         c.put(1, v(1.0));
-        assert!(c.get(0).is_some()); // 0 now fresher than 1
-        c.put(2, v(2.0)); // evicts 1
-        assert!(c.get(1).is_none());
+        c.put(2, v(2.0)); // full: dropped, nothing evicted
+        assert!(c.get(2).is_none());
         assert!(c.get(0).is_some());
-        assert!(c.get(2).is_some());
+        assert!(c.get(1).is_some());
+        assert_eq!(c.len(), 2);
+        c.invalidate([0]);
+        c.put(2, v(2.0)); // the freed slot admits it
+        assert!(c.get(0).is_none());
+        assert_eq!(*c.get(2).unwrap(), vec![2.0]);
         assert_eq!(c.len(), 2);
     }
 

@@ -10,10 +10,14 @@
 //!   per-source dependency vectors, so the engine recomputes only the
 //!   sources a mutation affects (Erdős-style pruning via two BFS
 //!   passes in the pre-mutation graph), replays every unaffected
-//!   source's vector from an LRU cache, and folds all `n` vectors in
+//!   source's vector from a bounded cache, and folds all `n` vectors in
 //!   ascending order — bit-identical to a from-scratch run by
 //!   construction, because the fold performs the same float additions
-//!   in the same order on the same values.
+//!   in the same order on the same values. The cache misses are
+//!   recomputed on every core first, each worker running the fused
+//!   single-source kernel ([`bc_brandes::Workspace`]) over a contiguous
+//!   chunk; only the per-source vectors are made in parallel, never the
+//!   fold, so the parallelism cannot move a bit.
 //! * [`FullRecompute`] wraps any closure producing scores from a graph
 //!   (the distributed driver, in-process or over a `--connect` shard
 //!   mesh, or sampling). Those protocols accumulate across sources in
@@ -40,11 +44,15 @@
 //! `d(s,u) = d(u,s)` by symmetry), not one per source.
 
 use crate::cache::SourceCache;
-use bc_brandes::dependencies_from;
-use bc_graph::algo::bfs;
+use bc_brandes::Workspace;
 use bc_graph::{Graph, GraphError, NodeId};
 use std::fmt;
 use std::sync::Arc;
+use std::thread;
+
+/// Cache misses each worker recomputes per step of the fold. A fold
+/// holds at most `cache capacity + workers · BLOCK` vectors at once.
+const BLOCK: usize = 64;
 
 /// A graph mutation accepted by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +125,9 @@ pub fn component_count(g: &Graph) -> usize {
 /// two-BFS conditions).
 pub fn affected_sources(old: &Graph, m: Mutation) -> Vec<u32> {
     let (u, v) = m.endpoints();
-    let du = bfs(old, u).dist;
-    let dv = bfs(old, v).dist;
+    let mut ws = Workspace::new(old.n());
+    let du = ws.distances(old, u).to_vec();
+    let dv = ws.distances(old, v);
     let insert = matches!(m, Mutation::AddEdge(..));
     (0..old.n() as u32)
         .filter(|&s| {
@@ -132,24 +141,66 @@ pub fn affected_sources(old: &Graph, m: Mutation) -> Vec<u32> {
         .collect()
 }
 
-/// Incremental Brandes engine: owns the current graph and the source
-/// cache, and rebuilds the score vector after each mutation by folding
-/// per-source dependency vectors in ascending source order — the exact
-/// float schedule of [`bc_brandes::betweenness_f64`].
+/// Dependency vectors of `sources`, in order, computed on one thread
+/// per workspace (the calling thread takes the first chunk) over
+/// contiguous chunks of at least `BLOCK / 4` sources.
+fn recompute(g: &Graph, sources: &[u32], workspaces: &mut [Workspace]) -> Vec<Vec<f64>> {
+    fn run(g: &Graph, sources: &[u32], slot: &mut Workspace) -> Vec<Vec<f64>> {
+        // Work on a copy on this thread's stack: the workspaces' `Vec`
+        // headers share cache lines in `workspaces`, and pushing to one
+        // worker's queue would otherwise stall the other cores.
+        let mut ws = std::mem::take(slot);
+        let out = sources
+            .iter()
+            .map(|&s| {
+                let mut delta = vec![0.0f64; g.n()];
+                ws.dependencies_into(g, s, &mut delta);
+                delta
+            })
+            .collect();
+        *slot = ws;
+        out
+    }
+    let per = sources.len().div_ceil(workspaces.len()).max(BLOCK / 4);
+    let mut chunks = sources.chunks(per).zip(workspaces.iter_mut());
+    let Some((first, ws0)) = chunks.next() else {
+        return Vec::new();
+    };
+    thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|(chunk, ws)| scope.spawn(move || run(g, chunk, ws)))
+            .collect();
+        let mut out = run(g, first, ws0);
+        for h in rest {
+            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
+}
+
+/// Incremental Brandes engine: owns the current graph, the source
+/// cache and one kernel workspace per core, and rebuilds the score
+/// vector after each mutation by folding per-source dependency vectors
+/// in ascending source order — the exact float schedule of
+/// [`bc_brandes::betweenness_f64`].
 #[derive(Debug)]
 pub struct IncrementalEngine {
     graph: Graph,
     cache: SourceCache,
+    /// One per recompute worker (`available_parallelism`).
+    workspaces: Vec<Workspace>,
     /// Sources recomputed by the last `recompute` call (telemetry).
     last_recomputed: usize,
 }
 
 impl IncrementalEngine {
-    /// Creates the engine over `graph` with an LRU of `cache_capacity`
+    /// Creates the engine over `graph` with a cache of `cache_capacity`
     /// per-source vectors (each `n` floats; pass `graph.n()` to cache
     /// everything).
     pub fn new(graph: Graph, cache_capacity: usize) -> IncrementalEngine {
+        let workers = thread::available_parallelism().map_or(1, |w| w.get());
         IncrementalEngine {
+            workspaces: (0..workers).map(|_| Workspace::new(graph.n())).collect(),
             graph,
             cache: SourceCache::new(cache_capacity),
             last_recomputed: 0,
@@ -186,23 +237,41 @@ impl IncrementalEngine {
     /// [`bc_brandes::betweenness_f64`], reproduced addition-for-addition
     /// so the result is bit-identical whether a vector came from the
     /// cache or a fresh BFS.
+    ///
+    /// Sources are taken in steps: scan forward until `workers · BLOCK`
+    /// sources have missed the cache, recompute those misses in
+    /// parallel, offer them to the cache in ascending order, then fold
+    /// the step's sources in ascending order.
     fn fold(&mut self) -> Vec<f64> {
-        let n = self.graph.n();
-        let mut cb = vec![0.0f64; n];
+        let n = self.graph.n() as u32;
+        let step = self.workspaces.len() * BLOCK;
+        let mut cb = vec![0.0f64; n as usize];
         let mut recomputed = 0usize;
-        for s in 0..n as u32 {
-            let dep = match self.cache.get(s) {
-                Some(dep) => dep,
-                None => {
-                    recomputed += 1;
-                    let dep = Arc::new(dependencies_from(&self.graph, s));
+        let mut next = 0u32;
+        while next < n {
+            let start = next;
+            let mut cached = Vec::new();
+            let mut misses = Vec::new();
+            while next < n && misses.len() < step {
+                let hit = self.cache.get(next);
+                if hit.is_none() {
+                    misses.push(next);
+                }
+                cached.push(hit);
+                next += 1;
+            }
+            recomputed += misses.len();
+            let mut fresh = recompute(&self.graph, &misses, &mut self.workspaces).into_iter();
+            for (s, hit) in (start..next).zip(cached) {
+                let dep = hit.unwrap_or_else(|| {
+                    let dep = Arc::new(fresh.next().expect("one vector per miss"));
                     self.cache.put(s, Arc::clone(&dep));
                     dep
-                }
-            };
-            for (w, d) in dep.iter().enumerate() {
-                if w as u32 != s {
-                    cb[w] += d;
+                });
+                for (w, d) in dep.iter().enumerate() {
+                    if w as u32 != s {
+                        cb[w] += d;
+                    }
                 }
             }
         }
@@ -335,7 +404,7 @@ impl RecomputeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_brandes::betweenness_f64;
+    use bc_brandes::{betweenness_f64, dependencies_from};
     use bc_graph::generators;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -399,15 +468,30 @@ mod tests {
         // bit for bit, across thousands of random mutations (a small
         // cache forces the replay-from-recompute path too).
         let mut rng = SmallRng::seed_from_u64(1);
-        for trial in 0..8 {
-            let n = 16 + trial * 4;
-            let g = generators::erdos_renyi_connected(n, 0.15, trial as u64);
-            // Cache sized below n on odd trials: misses must not change bits.
-            let cap = if trial % 2 == 0 { n } else { n / 3 };
+        // (n, edge probability, cache capacity, workers, mutations). The
+        // first eight run on this host's workers and fit one step of the
+        // fold; the last two span several steps (`workers · BLOCK`
+        // misses each) on a fixed worker count, with a full and a small
+        // cache.
+        let mut trials: Vec<_> = (0..8)
+            .map(|trial| {
+                let n = 16 + trial * 4;
+                // Cache sized below n on odd trials: misses must not change bits.
+                let cap = if trial % 2 == 0 { n } else { n / 3 };
+                (n, 0.15, cap, None, 300)
+            })
+            .collect();
+        trials.push((300, 0.02, 300, Some(3), 20));
+        trials.push((300, 0.02, 100, Some(2), 20));
+        for (trial, (n, p, cap, workers, mutations)) in trials.into_iter().enumerate() {
+            let g = generators::erdos_renyi_connected(n, p, trial as u64);
             let mut engine = IncrementalEngine::new(g.clone(), cap);
+            if let Some(workers) = workers {
+                engine.workspaces = vec![Workspace::new(n); workers];
+            }
             assert_bits_eq(&engine.scores(), &betweenness_f64(&g));
             let mut applied = 0;
-            while applied < 300 {
+            while applied < mutations {
                 let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
                 if u == v {
                     continue;
@@ -431,17 +515,22 @@ mod tests {
     #[test]
     fn incremental_prunes_most_sources_on_local_edits() {
         // On a long cycle, a chord insertion must not recompute all n
-        // sources — the point of the filter.
-        let g = generators::cycle(64);
-        let mut engine = IncrementalEngine::new(g, 64);
-        let _ = engine.scores();
-        assert_eq!(engine.last_recomputed(), 64);
-        let _ = engine.apply(Mutation::AddEdge(0, 2)).unwrap();
-        assert!(
-            engine.last_recomputed() < 64,
-            "recomputed {} of 64 sources",
-            engine.last_recomputed()
-        );
+        // sources — the point of the filter. With room for only half
+        // the vectors, the fold's ascending scan must still find the
+        // cached half (a recency policy evicts each entry just before
+        // the scan reaches it).
+        for cap in [64, 32] {
+            let g = generators::cycle(64);
+            let mut engine = IncrementalEngine::new(g, cap);
+            let _ = engine.scores();
+            assert_eq!(engine.last_recomputed(), 64);
+            let _ = engine.apply(Mutation::AddEdge(0, 2)).unwrap();
+            assert!(
+                engine.last_recomputed() < 64,
+                "cache {cap}: recomputed {} of 64 sources",
+                engine.last_recomputed()
+            );
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   ([`bc_core::SnapshotStore`]), so reads never block and never
 //!   observe torn state.
 //! * The incremental engine prunes recompute work to the sources a
-//!   mutation can affect (two BFS passes in the old graph) and replays
-//!   unaffected sources from an LRU of per-source dependency vectors
-//!   ([`cache::SourceCache`]) — while staying bit-identical to the
+//!   mutation can affect (two BFS passes in the old graph), replays
+//!   unaffected sources from a bounded cache of per-source dependency
+//!   vectors ([`cache::SourceCache`]) and recomputes the rest on every
+//!   core with [`bc_brandes::Workspace`] — while staying bit-identical to the
 //!   offline `distbc centrality --algorithm brandes` output, because
 //!   the final fold performs the same float additions in the same
 //!   order.
